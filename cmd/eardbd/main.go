@@ -49,14 +49,8 @@ import (
 	"goear/internal/eargm"
 	"goear/internal/telemetry"
 	"goear/internal/telemetry/trace"
+	"goear/internal/wire"
 )
-
-// wireService is the part of a Server or a fed.Root the listener
-// plumbing needs; both speak the same wire protocol.
-type wireService interface {
-	Serve(net.Listener) error
-	Close() error
-}
 
 func main() {
 	quit := make(chan struct{})
@@ -105,20 +99,27 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	}
 
 	// Telemetry must be live before the server is built: instrument
-	// handles are resolved in NewServer. The HTTP listener binds here
-	// but serving starts after the service exists, because the mux also
-	// mounts the service-backed /api/jobs query endpoint.
+	// handles are resolved in NewServer. The set belongs to this run
+	// alone, so counts never leak between daemons in one process. The
+	// HTTP server owns its listener from here and closes it on every
+	// return path; the service-backed endpoints (/api/jobs, health,
+	// SLO) are mounted on its mux once the service exists.
 	var telLn net.Listener
 	var telSet *telemetry.Set
+	var mux *http.ServeMux
 	if *telAddr != "" {
-		telSet = telemetry.Enable()
+		telSet = telemetry.NewSet()
 		var err error
 		telLn, err = net.Listen("tcp", *telAddr)
 		if err != nil {
 			return err
 		}
-		defer func() { _ = telLn.Close() }()
 		fmt.Fprintf(out, "eardbd: telemetry on http://%s/metrics\n", telLn.Addr())
+		mux = http.NewServeMux()
+		mux.Handle("/", telSet.Handler())
+		hs := &http.Server{Handler: mux}
+		go func() { _ = hs.Serve(telLn) }()
+		defer func() { _ = hs.Close() }()
 	}
 	var traceBuf *trace.Buffer
 	if *traceOn {
@@ -129,7 +130,7 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	start := time.Now()
 	wallSec := func() float64 { return time.Since(start).Seconds() }
 
-	var svc wireService
+	var svc *wire.Conns
 	var db *eard.DB
 	var srv *eardbd.Server
 	var root *fed.Root
@@ -157,7 +158,7 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 			return err
 		}
 		fmt.Fprintf(out, "eardbd: federation root over %d shards\n", len(cfg.Shards))
-		svc = root
+		svc = root.Conns
 
 		if *cascadeBudget > 0 {
 			var islands []eargm.Island
@@ -235,12 +236,10 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 			}
 		}
 		srv = eardbd.NewServer(db, eardbd.Config{MaxFramePayload: *maxFrame, MaxBatchRecords: *maxBatch, AcctMaxRecords: *acctRetain, Telemetry: telSet, Trace: traceBuf, Now: wallSec})
-		svc = srv
+		svc = srv.Conns
 	}
 
-	if telLn != nil {
-		mux := http.NewServeMux()
-		mux.Handle("/", telSet.Handler())
+	if mux != nil {
 		var queryFn accounting.QueryFunc
 		slo := telemetry.NewSLO()
 		health := telemetry.NewHealth()
@@ -260,11 +259,6 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 		if traceBuf != nil {
 			mux.Handle("/traces", traceBuf.Handler())
 		}
-		go func() {
-			// Serve returns when the listener closes at shutdown; the
-			// daemon's fate is decided by the wire listeners, not this one.
-			_ = http.Serve(telLn, mux)
-		}()
 	}
 
 	var addrs []string
@@ -279,14 +273,21 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 		go func() { serveErr <- svc.Serve(l) }()
 		return nil
 	}
+	// A listener that fails to bind aborts startup; whatever already
+	// serves is shut down with it.
+	abort := func(err error) error {
+		stopCascade()
+		_ = svc.Close()
+		return err
+	}
 	if *listen != "" {
 		if err := listenAndServe("tcp", *listen); err != nil {
-			return err
+			return abort(err)
 		}
 	}
 	if *unix != "" {
 		if err := listenAndServe("unix", *unix); err != nil {
-			return err
+			return abort(err)
 		}
 	}
 	if ready != nil {

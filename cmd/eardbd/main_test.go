@@ -5,18 +5,23 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"goear/internal/eard"
 	"goear/internal/eardbd"
+	"goear/internal/eardbd/dbdtest/leak"
 	"goear/internal/wire"
 )
 
 // startDaemon runs the daemon against an ephemeral TCP port and
-// returns its address plus a shutdown function that waits for a clean
-// exit and returns the accumulated output.
-func startDaemon(t *testing.T, extra ...string) (string, func() string) {
+// returns its bound addresses (wire first, telemetry last) plus a
+// shutdown function that waits for a clean exit and returns the
+// accumulated output. Shutdown runs at cleanup if the test has not
+// called it, and the test fails if the daemon leaks goroutines.
+func startDaemon(t *testing.T, extra ...string) ([]string, func() string) {
 	t.Helper()
+	leak.Check(t)
 	var out strings.Builder
 	ready := make(chan []string, 1)
 	quit := make(chan struct{})
@@ -25,17 +30,18 @@ func startDaemon(t *testing.T, extra ...string) (string, func() string) {
 	go func() { done <- run(args, &out, ready, quit) }()
 	select {
 	case addrs := <-ready:
-		stop := func() string {
+		stop := sync.OnceValue(func() string {
 			close(quit)
 			if err := <-done; err != nil {
 				t.Errorf("daemon exit: %v", err)
 			}
 			return out.String()
-		}
-		return addrs[0], stop
+		})
+		t.Cleanup(func() { stop() })
+		return addrs, stop
 	case err := <-done:
 		t.Fatalf("daemon died on startup: %v (output: %s)", err, out.String())
-		return "", nil
+		return nil, nil
 	}
 }
 
@@ -66,9 +72,9 @@ func sendBatch(t *testing.T, addr string, b wire.Batch) wire.Ack {
 
 func TestDaemonLifecycleWithPersistence(t *testing.T) {
 	dbFile := filepath.Join(t.TempDir(), "jobs.json")
-	addr, stop := startDaemon(t, "-db", dbFile)
+	addrs, stop := startDaemon(t, "-db", dbFile)
 
-	ack := sendBatch(t, addr, wire.Batch{ID: "n01/1", Node: "n01", Records: []eard.JobRecord{
+	ack := sendBatch(t, addrs[0], wire.Batch{ID: "n01/1", Node: "n01", Records: []eard.JobRecord{
 		{JobID: "j1", StepID: "0", Node: "n01", App: "X", TimeSec: 10, EnergyJ: 3000, AvgPower: 300},
 		{JobID: "j1", StepID: "0", Node: "n02", App: "X", TimeSec: 10, EnergyJ: 3100, AvgPower: 310},
 	}})
@@ -81,8 +87,8 @@ func TestDaemonLifecycleWithPersistence(t *testing.T) {
 	}
 
 	// A restarted daemon loads the persisted database and serves it.
-	addr2, stop2 := startDaemon(t, "-db", dbFile)
-	conn, err := net.Dial("tcp", addr2)
+	addrs2, stop2 := startDaemon(t, "-db", dbFile)
+	conn, err := net.Dial("tcp", addrs2[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +145,11 @@ func TestDaemonUnixSocket(t *testing.T) {
 // over them: the root must serve the merged cluster snapshot and
 // refuse record batches.
 func TestFederationRootDaemon(t *testing.T) {
-	addr1, stop1 := startDaemon(t)
+	addrs1, stop1 := startDaemon(t)
 	defer stop1()
-	addr2, stop2 := startDaemon(t)
+	addrs2, stop2 := startDaemon(t)
 	defer stop2()
+	addr1, addr2 := addrs1[0], addrs2[0]
 	sendBatch(t, addr1, wire.Batch{ID: "n01/1", Node: "n01", Records: []eard.JobRecord{
 		{JobID: "j1", StepID: "0", Node: "n01", App: "X", TimeSec: 10, EnergyJ: 3000, AvgPower: 300},
 	}})
@@ -150,8 +157,9 @@ func TestFederationRootDaemon(t *testing.T) {
 		{JobID: "j1", StepID: "0", Node: "n02", App: "X", TimeSec: 10, EnergyJ: 3100, AvgPower: 310},
 	}})
 
-	rootAddr, stopRoot := startDaemon(t, "-fed", addr1+","+addr2)
+	rootAddrs, stopRoot := startDaemon(t, "-fed", addr1+","+addr2)
 	defer stopRoot()
+	rootAddr := rootAddrs[0]
 	conn, err := net.Dial("tcp", rootAddr)
 	if err != nil {
 		t.Fatal(err)

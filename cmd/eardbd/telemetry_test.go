@@ -15,19 +15,7 @@ import (
 // it a batch (plus a dedup-window redelivery), and scrapes the HTTP
 // endpoint: the closed loop the observability layer exists for.
 func TestDaemonTelemetryEndpoint(t *testing.T) {
-	var out strings.Builder
-	ready := make(chan []string, 1)
-	quit := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-listen", "127.0.0.1:0", "-telemetry", "127.0.0.1:0"}, &out, ready, quit)
-	}()
-	var addrs []string
-	select {
-	case addrs = <-ready:
-	case err := <-done:
-		t.Fatalf("daemon died on startup: %v (output: %s)", err, out.String())
-	}
+	addrs, stop := startDaemon(t, "-telemetry", "127.0.0.1:0")
 	if len(addrs) != 2 {
 		t.Fatalf("ready addrs = %v, want wire + telemetry", addrs)
 	}
@@ -90,33 +78,17 @@ func TestDaemonTelemetryEndpoint(t *testing.T) {
 		t.Errorf("event log missing batch events:\n%s", events)
 	}
 
-	close(quit)
-	if err := <-done; err != nil {
-		t.Errorf("daemon exit: %v", err)
-	}
-	if !strings.Contains(out.String(), "telemetry on http://") {
-		t.Errorf("startup output missing telemetry line:\n%s", out.String())
+	if out := stop(); !strings.Contains(out, "telemetry on http://") {
+		t.Errorf("startup output missing telemetry line:\n%s", out)
 	}
 }
 
 // TestDaemonTraceAndHealthEndpoints boots an ingest daemon with
 // tracing on and scrapes the observability surface: the probes must
 // answer, and a delivered batch must show up as server-side spans on
-// /traces. (It runs after TestDaemonTelemetryEndpoint: the global
-// telemetry set is shared, and that test asserts exact counts.)
+// /traces.
 func TestDaemonTraceAndHealthEndpoints(t *testing.T) {
-	var out strings.Builder
-	ready := make(chan []string, 1)
-	quit := make(chan struct{})
-	done := make(chan error, 1)
-	args := []string{"-listen", "127.0.0.1:0", "-telemetry", "127.0.0.1:0", "-trace"}
-	go func() { done <- run(args, &out, ready, quit) }()
-	var addrs []string
-	select {
-	case addrs = <-ready:
-	case err := <-done:
-		t.Fatalf("daemon died on startup: %v (output: %s)", err, out.String())
-	}
+	addrs, _ := startDaemon(t, "-telemetry", "127.0.0.1:0", "-trace")
 	wireAddr, telAddr := addrs[0], addrs[len(addrs)-1]
 
 	sendBatch(t, wireAddr, wire.Batch{ID: "n05/1", Node: "n05", Records: []eard.JobRecord{
@@ -153,10 +125,5 @@ func TestDaemonTraceAndHealthEndpoints(t *testing.T) {
 	}
 	if code, body := get("/traces?kind=server.store"); code != 200 || strings.Contains(body, "server.batch") {
 		t.Errorf("/traces?kind filter leaked: %d %s", code, body)
-	}
-
-	close(quit)
-	if err := <-done; err != nil {
-		t.Errorf("daemon exit: %v", err)
 	}
 }

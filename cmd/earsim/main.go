@@ -76,7 +76,6 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			defer func() { _ = ln.Close() }()
 			fmt.Fprintf(out, "telemetry: serving http://%s/metrics for the run\n", ln.Addr())
 			// The probe endpoints make a scraped run look like the
 			// daemons: alive while serving, ready while the simulation
@@ -89,7 +88,11 @@ func run(args []string, out io.Writer) error {
 			mux.Handle("/", set.Handler())
 			mux.Handle("/healthz", health.Healthz())
 			mux.Handle("/readyz", health.Readyz())
-			go func() { _ = http.Serve(ln, mux) }()
+			// The HTTP server owns the listener and closes it when the
+			// run returns.
+			hs := &http.Server{Handler: mux}
+			go func() { _ = hs.Serve(ln) }()
+			defer func() { _ = hs.Close() }()
 		}
 		defer func() {
 			if err := dumpTelemetry(set, *metricsTo, *eventsTo, out); err != nil {

@@ -80,8 +80,11 @@ type Stats struct {
 // Root is the federation front end. It is safe for concurrent use.
 // Merge-heavy queries go through a generation-keyed snapshot cache
 // (see cache.go): a query costs one cheap generation poll per shard
-// until ingest actually moves, instead of a full record dump.
+// until ingest actually moves, instead of a full record dump. The
+// embedded Conns supplies Serve, ServeConn and Close.
 type Root struct {
+	*wire.Conns
+
 	cfg    Config
 	ts     *telemetry.Set
 	tel    rootTel
@@ -96,12 +99,6 @@ type Root struct {
 	cacheGens []uint64
 	cacheDB   *eard.DB
 	cacheAcct *accounting.Store
-
-	connMu    sync.Mutex
-	closed    bool
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	wg        sync.WaitGroup
 }
 
 // NewRoot builds a root over the given shards.
@@ -129,14 +126,13 @@ func NewRoot(cfg Config) (*Root, error) {
 		ts = telemetry.Default()
 	}
 	root := &Root{
-		cfg:       cfg,
-		ts:        ts,
-		tel:       newRootTel(ts),
-		tracer:    trace.New("fedroot", cfg.Trace),
-		reach:     map[string]bool{},
-		listeners: map[net.Listener]struct{}{},
-		conns:     map[net.Conn]struct{}{},
+		cfg:    cfg,
+		ts:     ts,
+		tel:    newRootTel(ts),
+		tracer: trace.New("fedroot", cfg.Trace),
+		reach:  map[string]bool{},
 	}
+	root.Conns = wire.NewConns(root.session)
 	root.tel.shards.Set(float64(len(cfg.Shards)))
 	return root, nil
 }

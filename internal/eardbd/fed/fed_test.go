@@ -12,6 +12,7 @@ import (
 
 	"goear/internal/eard"
 	"goear/internal/eardbd"
+	"goear/internal/eardbd/dbdtest/leak"
 	"goear/internal/eardbd/ring"
 	"goear/internal/wire"
 )
@@ -34,6 +35,7 @@ func (s shardFixture) dial() (net.Conn, error) {
 // root over them.
 func buildFederation(t *testing.T, nodes, nShards int) ([]shardFixture, *Root) {
 	t.Helper()
+	leak.Check(t)
 	shards := make([]shardFixture, nShards)
 	rg := ring.New(0)
 	for i := range shards {
@@ -87,6 +89,16 @@ func buildFederation(t *testing.T, nodes, nShards int) ([]shardFixture, *Root) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if err := root.Close(); err != nil {
+			t.Errorf("root close: %v", err)
+		}
+		for _, s := range shards {
+			if err := s.srv.Close(); err != nil {
+				t.Errorf("shard %s close: %v", s.name, err)
+			}
+		}
+	})
 	return shards, root
 }
 

@@ -1,98 +1,26 @@
 package fed
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net"
 
 	"goear/internal/accounting"
 	"goear/internal/wire"
 )
 
-// Serve accepts connections on l until the listener fails or the root
-// is closed; Close makes it return nil. The root speaks the same wire
-// protocol as a shard daemon, so earctl dbd and eargm feeds point at
-// either interchangeably.
-func (r *Root) Serve(l net.Listener) error {
-	r.connMu.Lock()
-	if r.closed {
-		r.connMu.Unlock()
-		if err := l.Close(); err != nil {
-			return fmt.Errorf("fed: close listener of closed root: %w", err)
-		}
-		return errors.New("fed: root is closed")
-	}
-	r.listeners[l] = struct{}{}
-	r.connMu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			r.connMu.Lock()
-			closed := r.closed
-			delete(r.listeners, l)
-			r.connMu.Unlock()
-			if closed {
-				return nil
-			}
-			return fmt.Errorf("fed: accept: %w", err)
-		}
-		r.connMu.Lock()
-		if r.closed {
-			r.connMu.Unlock()
-			_ = conn.Close()
-			return nil
-		}
-		r.conns[conn] = struct{}{}
-		r.wg.Add(1)
-		r.connMu.Unlock()
-		go func() {
-			defer r.wg.Done()
-			r.ServeConn(conn)
-			r.connMu.Lock()
-			delete(r.conns, conn)
-			r.connMu.Unlock()
-		}()
-	}
-}
-
-// Close stops all listeners, severs live connections and waits for
-// their handlers.
-func (r *Root) Close() error {
-	r.connMu.Lock()
-	if r.closed {
-		r.connMu.Unlock()
-		return nil
-	}
-	r.closed = true
-	var firstErr error
-	for l := range r.listeners {
-		if err := l.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for c := range r.conns {
-		if err := c.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	r.connMu.Unlock()
-	r.wg.Wait()
-	return firstErr
-}
-
-// ServeConn answers snapshot queries on one connection until EOF or a
-// protocol violation, then closes it. Batches are refused: reports go
-// to the shard that owns the node (ring placement), never through the
-// root — the root is a read path, and keeping it so means a root
-// outage can never lose accounting data.
-func (r *Root) ServeConn(conn net.Conn) {
-	defer func() { _ = conn.Close() }()
+// session answers snapshot queries on one connection until EOF or a
+// protocol violation; the embedded Conns closes the connection after.
+// The root speaks the same wire protocol as a shard daemon, so earctl
+// dbd and eargm feeds point at either interchangeably. Batches are
+// refused: reports go to the shard that owns the node (ring
+// placement), never through the root — the root is a read path, and
+// keeping it so means a root outage can never lose accounting data.
+func (r *Root) session(conn net.Conn) {
 	for {
 		f, err := wire.ReadFrame(conn, r.cfg.MaxFramePayload)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, net.ErrClosed) {
-				r.reply(conn, mustError(err.Error()))
+			if !wire.Disconnected(err) {
+				r.reply(conn, wire.ErrorReply(err.Error()))
 			}
 			return
 		}
@@ -102,10 +30,10 @@ func (r *Root) ServeConn(conn net.Conn) {
 				return
 			}
 		case wire.TypeBatch:
-			r.reply(conn, mustError("federation root does not accept batches; report to the owning shard"))
+			r.reply(conn, wire.ErrorReply("federation root does not accept batches; report to the owning shard"))
 			return
 		default:
-			r.reply(conn, mustError(fmt.Sprintf("unexpected %s frame", f.Type)))
+			r.reply(conn, wire.ErrorReply(fmt.Sprintf("unexpected %s frame", f.Type)))
 			return
 		}
 	}
@@ -122,7 +50,7 @@ func (r *Root) handleQuery(conn net.Conn, f wire.Frame) bool {
 	t0 := r.nowSec()
 	q, err := f.AsQuery()
 	if err != nil {
-		r.reply(conn, mustError(err.Error()))
+		r.reply(conn, wire.ErrorReply(err.Error()))
 		return false
 	}
 	sp := r.tracer.Remote(f.Trace, spanFedQuery, t0)
@@ -198,11 +126,11 @@ func (r *Root) handleQuery(conn net.Conn, f wire.Frame) bool {
 			resp, err = wire.EncodeResult(q.Kind, wire.Generation{Gen: gen})
 		}
 	default:
-		r.reply(conn, mustError(fmt.Sprintf("unknown query kind %q", q.Kind)))
+		r.reply(conn, wire.ErrorReply(fmt.Sprintf("unknown query kind %q", q.Kind)))
 		return true
 	}
 	if err != nil {
-		r.reply(conn, mustError(err.Error()))
+		r.reply(conn, wire.ErrorReply(err.Error()))
 		return true
 	}
 	return r.reply(conn, resp)
@@ -212,14 +140,4 @@ func (r *Root) handleQuery(conn net.Conn, f wire.Frame) bool {
 // gone, which the caller treats as connection end.
 func (r *Root) reply(conn net.Conn, f wire.Frame) bool {
 	return wire.WriteFrame(conn, f, r.cfg.MaxFramePayload) == nil
-}
-
-// mustError encodes an error frame; encoding a plain string cannot
-// fail.
-func mustError(msg string) wire.Frame {
-	f, err := wire.EncodeError(msg)
-	if err != nil {
-		panic(err)
-	}
-	return f
 }

@@ -15,9 +15,7 @@
 package eardbd
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -107,8 +105,12 @@ type Aggregate struct {
 }
 
 // Server is the aggregation daemon. One Server may serve several
-// listeners (a TCP port and a unix socket, say) concurrently.
+// listeners (a TCP port and a unix socket, say) concurrently. The
+// embedded Conns supplies Serve, ServeConn (for synthetic transports
+// such as net.Pipe, without a listener) and Close.
 type Server struct {
+	*wire.Conns
+
 	cfg    Config
 	db     *eard.DB
 	acct   *accounting.Store
@@ -122,12 +124,6 @@ type Server struct {
 	stats     Stats
 	gen       uint64  // bumped whenever any record lands; see Generation
 	lastMut   float64 // cfg.Now at the last generation bump (0 with no clock)
-
-	connMu    sync.Mutex
-	closed    bool
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	wg        sync.WaitGroup
 }
 
 // NewServer builds a server folding records into db. Telemetry
@@ -142,17 +138,17 @@ func NewServer(db *eard.DB, cfg Config) *Server {
 	if cfg.AcctMaxRecords > 0 {
 		acct.SetMaxRecords(cfg.AcctMaxRecords)
 	}
-	return &Server{
-		cfg:       cfg.withDefaults(),
-		db:        db,
-		acct:      acct,
-		tel:       newServerTel(ts),
-		tracer:    trace.New("eardbd", cfg.Trace),
-		seen:      map[string]bool{},
-		nodeW:     map[string]float64{},
-		listeners: map[net.Listener]struct{}{},
-		conns:     map[net.Conn]struct{}{},
+	s := &Server{
+		cfg:    cfg.withDefaults(),
+		db:     db,
+		acct:   acct,
+		tel:    newServerTel(ts),
+		tracer: trace.New("eardbd", cfg.Trace),
+		seen:   map[string]bool{},
+		nodeW:  map[string]float64{},
 	}
+	s.Conns = wire.NewConns(s.session)
+	return s
 }
 
 // nowSec reads the injected latency clock, 0 when none is configured.
@@ -211,82 +207,10 @@ func (s *Server) HealthCheck(staleAfterSec float64) telemetry.CheckFunc {
 	}
 }
 
-// Serve accepts connections on l until the listener fails or the
-// server is closed; Close makes it return nil. Each connection is
-// handled on its own goroutine.
-func (s *Server) Serve(l net.Listener) error {
-	s.connMu.Lock()
-	if s.closed {
-		s.connMu.Unlock()
-		if err := l.Close(); err != nil {
-			return fmt.Errorf("eardbd: close listener of closed server: %w", err)
-		}
-		return errors.New("eardbd: server is closed")
-	}
-	s.listeners[l] = struct{}{}
-	s.connMu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.connMu.Lock()
-			closed := s.closed
-			delete(s.listeners, l)
-			s.connMu.Unlock()
-			if closed {
-				return nil
-			}
-			return fmt.Errorf("eardbd: accept: %w", err)
-		}
-		s.connMu.Lock()
-		if s.closed {
-			s.connMu.Unlock()
-			_ = conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.connMu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.ServeConn(conn)
-			s.connMu.Lock()
-			delete(s.conns, conn)
-			s.connMu.Unlock()
-		}()
-	}
-}
-
-// Close stops all listeners, severs live connections and waits for
-// their handlers.
-func (s *Server) Close() error {
-	s.connMu.Lock()
-	if s.closed {
-		s.connMu.Unlock()
-		return nil
-	}
-	s.closed = true
-	var firstErr error
-	for l := range s.listeners {
-		if err := l.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for c := range s.conns {
-		if err := c.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	s.connMu.Unlock()
-	s.wg.Wait()
-	return firstErr
-}
-
-// ServeConn speaks the wire protocol on one connection until EOF or a
-// protocol error, then closes it. It is exported so tests and
-// simulations can serve synthetic transports (net.Pipe) without a
-// listener.
-func (s *Server) ServeConn(conn net.Conn) {
-	defer func() { _ = conn.Close() }()
+// session speaks the wire protocol on one connection until EOF or a
+// protocol error. The embedded Conns owns the connection: it tracks
+// it, closes it when session returns, and severs it on Close.
+func (s *Server) session(conn net.Conn) {
 	s.mu.Lock()
 	s.stats.Connections++
 	s.mu.Unlock()
@@ -294,29 +218,24 @@ func (s *Server) ServeConn(conn net.Conn) {
 	for {
 		f, err := wire.ReadFrame(conn, s.cfg.MaxFramePayload)
 		if err != nil {
-			// A peer hanging up between frames (EOF, or a closed pipe in
-			// simulated transports) is a normal disconnect, not a protocol
-			// violation.
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, net.ErrClosed) {
+			if !wire.Disconnected(err) {
 				s.countProtocolError()
-				s.reply(conn, mustError(err.Error()))
+				s.reply(conn, wire.ErrorReply(err.Error()))
 			}
 			return
 		}
 		switch f.Type {
 		case wire.TypeBatch:
-			ok := s.handleBatch(conn, f)
-			if !ok {
+			if !s.handleBatch(conn, f) {
 				return
 			}
 		case wire.TypeQuery:
-			ok := s.handleQuery(conn, f)
-			if !ok {
+			if !s.handleQuery(conn, f) {
 				return
 			}
 		default:
 			s.countProtocolError()
-			s.reply(conn, mustError(fmt.Sprintf("unexpected %s frame", f.Type)))
+			s.reply(conn, wire.ErrorReply(fmt.Sprintf("unexpected %s frame", f.Type)))
 			return
 		}
 	}
@@ -333,7 +252,7 @@ func (s *Server) handleBatch(conn net.Conn, f wire.Frame) bool {
 	b, err := f.AsBatch()
 	if err != nil {
 		s.countProtocolError()
-		s.reply(conn, mustError(err.Error()))
+		s.reply(conn, wire.ErrorReply(err.Error()))
 		return false
 	}
 	sp := s.tracer.Remote(f.Trace, spanServerBatch, t0)
@@ -406,7 +325,7 @@ func (s *Server) handleBatch(conn net.Conn, f wire.Frame) bool {
 			ssp.End(s.nowSec())
 			done("error")
 			s.countProtocolError()
-			s.reply(conn, mustError(fmt.Sprintf("store batch %s: %v", b.ID, err)))
+			s.reply(conn, wire.ErrorReply(fmt.Sprintf("store batch %s: %v", b.ID, err)))
 			return false
 		}
 	}
@@ -422,7 +341,7 @@ func (s *Server) handleBatch(conn net.Conn, f wire.Frame) bool {
 			asp.End(s.nowSec())
 			done("error")
 			s.countProtocolError()
-			s.reply(conn, mustError(fmt.Sprintf("store batch %s: %v", b.ID, err)))
+			s.reply(conn, wire.ErrorReply(fmt.Sprintf("store batch %s: %v", b.ID, err)))
 			return false
 		}
 		switch class {
@@ -477,7 +396,7 @@ func (s *Server) handleQuery(conn net.Conn, f wire.Frame) bool {
 	q, err := f.AsQuery()
 	if err != nil {
 		s.countProtocolError()
-		s.reply(conn, mustError(err.Error()))
+		s.reply(conn, wire.ErrorReply(err.Error()))
 		return false
 	}
 	sp := s.tracer.Remote(f.Trace, spanServerQuery, t0)
@@ -525,11 +444,11 @@ func (s *Server) handleQuery(conn net.Conn, f wire.Frame) bool {
 			resp, err = wire.EncodeResult(q.Kind, sum)
 		}
 	default:
-		s.reply(conn, mustError(fmt.Sprintf("unknown query kind %q", q.Kind)))
+		s.reply(conn, wire.ErrorReply(fmt.Sprintf("unknown query kind %q", q.Kind)))
 		return true
 	}
 	if err != nil {
-		s.reply(conn, mustError(err.Error()))
+		s.reply(conn, wire.ErrorReply(err.Error()))
 		return true
 	}
 	return s.reply(conn, resp)
@@ -637,7 +556,7 @@ func (s *Server) rejectBatch(conn net.Conn, msg string) {
 	s.mu.Unlock()
 	s.tel.batchRej.Inc()
 	s.tel.batchEvent("", "", "rejected", nil)
-	s.reply(conn, mustError(msg))
+	s.reply(conn, wire.ErrorReply(msg))
 }
 
 // reply best-effort writes a frame; a failed write means the peer is
@@ -647,16 +566,6 @@ func (s *Server) reply(conn net.Conn, f wire.Frame) bool {
 		return false
 	}
 	return true
-}
-
-// mustError encodes an error frame; encoding a plain string cannot
-// fail.
-func mustError(msg string) wire.Frame {
-	f, err := wire.EncodeError(msg)
-	if err != nil {
-		panic(err)
-	}
-	return f
 }
 
 // mustAck encodes an ack frame; encoding the fixed Ack struct cannot

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"goear/internal/eard"
+	"goear/internal/eardbd/dbdtest/leak"
 	"goear/internal/wire"
 )
 
@@ -23,6 +24,7 @@ func rec(job, step, node string, power float64) eard.JobRecord {
 // returns the server plus its address.
 func startServer(t *testing.T, network, addr string, cfg Config) (*Server, net.Addr) {
 	t.Helper()
+	leak.Check(t)
 	l, err := net.Listen(network, addr)
 	if err != nil {
 		t.Fatal(err)

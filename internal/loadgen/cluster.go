@@ -24,11 +24,11 @@ import (
 
 // Cluster is an in-process shard fleet: one eardbd.Server per shard,
 // addressed over net.Pipe, with node→shard placement on a consistent
-// hash ring. Kill severs a shard's connections and refuses new dials;
-// Restart brings up a fresh Server over the shard's surviving DB —
-// the same state a daemon restart leaves on disk — so clients
-// exercise the spill/replay/dedup paths exactly as against a real
-// crashed daemon.
+// hash ring. Kill closes a shard's server, severing its connections,
+// and refuses new dials; Restart brings up a fresh Server over the
+// shard's surviving DB — the same state a daemon restart leaves on
+// disk — so clients exercise the spill/replay/dedup paths exactly as
+// against a real crashed daemon.
 type Cluster struct {
 	cfg   eardbd.Config
 	ring  *ring.Ring
@@ -38,25 +38,10 @@ type Cluster struct {
 	shards map[string]*clusterShard
 }
 
-type shardState int
-
-const (
-	shardUp shardState = iota
-	// shardKilling: Kill has started severing the shard but has not
-	// yet captured its final state; dials fail, Restart is refused.
-	shardKilling
-	shardDown
-)
-
 type clusterShard struct {
-	db    *eard.DB
-	srv   *eardbd.Server
-	state shardState
-	// conns holds the server ends of live pipes so Kill can sever
-	// them (ServeConn is invoked directly, bypassing Server's own
-	// listener bookkeeping).
-	conns map[net.Conn]struct{}
-	wg    sync.WaitGroup
+	db   *eard.DB
+	srv  *eardbd.Server
+	down bool
 	// savedPowers and savedAcct carry the last-known node-power view
 	// and the job accounting store across a kill/restart, as a
 	// persisted daemon snapshot would.
@@ -77,11 +62,7 @@ func NewCluster(n int, cfg eardbd.Config) (*Cluster, error) {
 			return nil, err
 		}
 		db := eard.NewDB()
-		c.shards[name] = &clusterShard{
-			db:    db,
-			srv:   eardbd.NewServer(db, cfg),
-			conns: map[net.Conn]struct{}{},
-		}
+		c.shards[name] = &clusterShard{db: db, srv: eardbd.NewServer(db, cfg)}
 		c.names = append(c.names, name)
 	}
 	return c, nil
@@ -120,23 +101,14 @@ func (c *Cluster) DialShard(name string) (net.Conn, error) {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("loadgen: unknown shard %s", name)
 	}
-	if sh.state != shardUp {
+	if sh.down {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("loadgen: shard %s is down", name)
 	}
-	client, server := net.Pipe()
 	srv := sh.srv
-	sh.conns[server] = struct{}{}
-	sh.wg.Add(1)
 	c.mu.Unlock()
-
-	go func() {
-		srv.ServeConn(server)
-		c.mu.Lock()
-		delete(sh.conns, server)
-		c.mu.Unlock()
-		sh.wg.Done()
-	}()
+	client, server := net.Pipe()
+	go srv.ServeConn(server)
 	return client, nil
 }
 
@@ -159,31 +131,23 @@ func (c *Cluster) DialFor(node string) func() (net.Conn, error) {
 // the server's record-level dedup after Restart.
 func (c *Cluster) Kill(name string) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	sh := c.shards[name]
 	if sh == nil {
-		c.mu.Unlock()
 		return fmt.Errorf("loadgen: unknown shard %s", name)
 	}
-	if sh.state != shardUp {
-		c.mu.Unlock()
+	if sh.down {
 		return fmt.Errorf("loadgen: shard %s already down", name)
 	}
-	sh.state = shardKilling
-	for conn := range sh.conns {
-		_ = conn.Close()
-	}
-	srv := sh.srv
-	c.mu.Unlock()
-
-	sh.wg.Wait()
-	if err := srv.Close(); err != nil {
+	// Handlers never take c.mu, so draining them under it cannot
+	// deadlock; holding it keeps dials and Restart out until the
+	// final state is captured.
+	if err := sh.srv.Close(); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	sh.savedPowers = srv.NodePowersByName()
-	sh.savedAcct = srv.Acct().Snapshot()
-	sh.state = shardDown
-	c.mu.Unlock()
+	sh.savedPowers = sh.srv.NodePowersByName()
+	sh.savedAcct = sh.srv.Acct().Snapshot()
+	sh.down = true
 	return nil
 }
 
@@ -198,7 +162,7 @@ func (c *Cluster) Restart(name string) error {
 	if sh == nil {
 		return fmt.Errorf("loadgen: unknown shard %s", name)
 	}
-	if sh.state != shardDown {
+	if !sh.down {
 		return fmt.Errorf("loadgen: shard %s is not down", name)
 	}
 	sh.srv = eardbd.NewServer(sh.db, c.cfg)
@@ -206,7 +170,7 @@ func (c *Cluster) Restart(name string) error {
 	sh.srv.SeedAcct(sh.savedAcct)
 	sh.savedPowers = nil
 	sh.savedAcct = nil
-	sh.state = shardUp
+	sh.down = false
 	return nil
 }
 
@@ -231,10 +195,9 @@ func (c *Cluster) Close() error {
 	var firstErr error
 	for _, name := range c.names {
 		c.mu.Lock()
-		sh := c.shards[name]
-		up := sh.state == shardUp
+		down := c.shards[name].down
 		c.mu.Unlock()
-		if !up {
+		if down {
 			continue
 		}
 		if err := c.Kill(name); err != nil && firstErr == nil {
