@@ -279,6 +279,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
+	burst0 := wallSec()
 	res, err := g.Run(dialFor, hooks)
 	if err != nil {
 		stopQueries()
@@ -286,6 +287,7 @@ func run(args []string, out io.Writer) error {
 	}
 	postBurst()
 	left, err := g.Drain(dialFor, *drainPasses)
+	burstSec := wallSec() - burst0
 	stopQueries()
 	if err != nil {
 		return err
@@ -293,16 +295,19 @@ func run(args []string, out io.Writer) error {
 	st := g.Stats()
 	fmt.Fprintf(out, "earload: %d nodes, %d records enqueued, %d sent in %d batches, %d spilled, %d replayed, %d retries, backlog %d\n",
 		res.Nodes, res.RecordsEnqueued, st.RecordsSent, st.BatchesSent, st.BatchesSpilled, st.BatchesReplayed, st.Retries, left)
-	// Client-observed round trips: the latency the reporting tier
-	// actually delivered, printed and recorded as a telemetry event so
-	// -metrics scrapes and event dumps carry it too.
+	// Client-observed round trips and the record throughput the
+	// reporting tier actually delivered (records sent over the wall
+	// time of the burst and its drain), printed and recorded as a
+	// telemetry event so -metrics scrapes and event dumps carry them
+	// too.
 	if n, p50, p95, p99 := g.RTTPercentiles(); n > 0 {
-		fmt.Fprintf(out, "earload: batch rtt: %d acked, p50 %s, p95 %s, p99 %s\n",
-			n, fmtSec(p50), fmtSec(p95), fmtSec(p99))
+		rate := float64(st.RecordsSent) / burstSec
+		fmt.Fprintf(out, "earload: batch rtt: %d acked, p50 %s, p95 %s, p99 %s, %.0f records/s\n",
+			n, fmtSec(p50), fmtSec(p95), fmtSec(p99), rate)
 		set.Rec().Record(telemetry.Event{
 			TimeSec: wallSec(), Kind: "earload.rtt", Src: "earload",
 			Str: map[string]string{"op": "batch"},
-			Num: map[string]float64{"count": float64(n), "p50_s": p50, "p95_s": p95, "p99_s": p99},
+			Num: map[string]float64{"count": float64(n), "p50_s": p50, "p95_s": p95, "p99_s": p99, "records_per_s": rate},
 		})
 	}
 	if *queries > 0 {

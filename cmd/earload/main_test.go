@@ -200,7 +200,7 @@ func TestEarloadTraceExport(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v\n%s", err, out.String())
 		}
-		for _, want := range []string{"spans recorded (0 dropped)", "batch rtt:", "p99"} {
+		for _, want := range []string{"spans recorded (0 dropped)", "batch rtt:", "p99", "records/s"} {
 			if !strings.Contains(out.String(), want) {
 				t.Errorf("shards=%d output missing %q:\n%s", shards, want, out.String())
 			}

@@ -1,11 +1,14 @@
 package eardbd
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"goear/internal/eard"
@@ -216,6 +219,79 @@ func TestServerClosesOnGarbage(t *testing.T) {
 	}
 	if st := srv.Stats(); st.ProtocolErrors == 0 {
 		t.Errorf("stats = %+v, want a protocol error", st)
+	}
+}
+
+// rawBatchFrame hand-builds a version-2 batch frame holding one job
+// record, field by field in the wire layout (uvarint-length strings,
+// big-endian IEEE-754 floats), so the server's decoder meets bytes no
+// encoder would produce.
+func rawBatchFrame(version byte, node string, energyBits uint64) []byte {
+	str := func(p []byte, s string) []byte { return append(binary.AppendUvarint(p, uint64(len(s))), s...) }
+	f64 := func(p []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(p, v) }
+	p := str(nil, "n01/1")
+	p = str(p, node)
+	p = binary.AppendUvarint(p, 1) // one job record
+	for _, s := range []string{"j1", "0", node, "BT-MZ.C", "min_energy"} {
+		p = str(p, s)
+	}
+	p = f64(p, math.Float64bits(100)) // TimeSec
+	p = f64(p, energyBits)            // EnergyJ
+	for i := 0; i < 5; i++ {
+		p = f64(p, math.Float64bits(1)) // AvgPower .. AvgGBs
+	}
+	p = binary.AppendUvarint(p, 0) // no accounting records
+	frame := binary.BigEndian.AppendUint32(nil, wire.Magic)
+	frame = append(frame, version, byte(wire.TypeBatch), 0, 0)
+	frame = binary.BigEndian.AppendUint32(frame, uint32(len(p)))
+	return append(frame, p...)
+}
+
+// TestServerRejectsMalformedPayloads sends batches JSON could never
+// carry: each must draw an error frame, store nothing and count as a
+// protocol error.
+func TestServerRejectsMalformedPayloads(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		raw        []byte
+	}{
+		{"NaN energy", "non-finite float", rawBatchFrame(wire.Version, "n01", 0x7FF8000000000001)},
+		{"invalid UTF-8 node", "not valid UTF-8", rawBatchFrame(wire.Version, "n\xff1", math.Float64bits(5))},
+		{"version 1 peer", "peer speaks version 1, this side 2", rawBatchFrame(1, "n01", math.Float64bits(5))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, "tcp", "127.0.0.1:0", Config{})
+			conn, err := net.Dial("tcp", addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.raw); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := wire.ReadFrame(conn, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ef, err := resp.AsError()
+			if err != nil {
+				t.Fatalf("response = %s, want error", resp.Type)
+			}
+			if !strings.Contains(ef.Message, tc.want) {
+				t.Errorf("error = %q, want it to contain %q", ef.Message, tc.want)
+			}
+			// The server counts the error before replying, then closes.
+			if _, err := wire.ReadFrame(conn, 0); err == nil {
+				t.Fatal("connection still open after a malformed batch")
+			}
+			st := srv.Stats()
+			if st.ProtocolErrors != 1 || st.Batches != 0 || st.RecordsAccepted != 0 {
+				t.Errorf("stats = %+v, want one protocol error and nothing stored", st)
+			}
+			if agg := srv.Aggregate(); agg.Nodes != 0 {
+				t.Errorf("aggregate = %+v, want empty", agg)
+			}
+		})
 	}
 }
 

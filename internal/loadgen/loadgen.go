@@ -102,11 +102,11 @@ type Hooks struct {
 
 // Result summarises a load run.
 type Result struct {
-	Nodes           int                 `json:"nodes"`
-	RecordsEnqueued int                 `json:"records_enqueued"`
-	NodeErrors      int                 `json:"node_errors"`
-	Client          eardbd.ClientStats  `json:"client"`
-	BacklogBatches  int                 `json:"backlog_batches"`
+	Nodes           int                `json:"nodes"`
+	RecordsEnqueued int                `json:"records_enqueued"`
+	NodeErrors      int                `json:"node_errors"`
+	Client          eardbd.ClientStats `json:"client"`
+	BacklogBatches  int                `json:"backlog_batches"`
 }
 
 // Generator drives simulated node reporters through real EARDBD
@@ -179,6 +179,29 @@ func (g *Generator) nodeName(i int) string {
 	}
 	return NodeName(i)
 }
+
+// lazySource is a rand.Source seeded on first use. Seeding a math/rand
+// source fills ~5 KB of state; most node clients never back off, so
+// their jitter source is never drawn from and need not be seeded. The
+// sequence drawn is exactly rand.NewSource(seed)'s.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+// lazyRand returns a generator over a lazySource.
+func lazyRand(seed int64) *rand.Rand { return rand.New(&lazySource{seed: seed}) }
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64    { return l.source().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
 
 // Records generates node i's deterministic record stream: the
 // canonical closed-loop workload shape (three jobs, per-node power in
@@ -293,7 +316,7 @@ func (g *Generator) runNode(i int, dial func(node string) func() (net.Conn, erro
 		Node:         node,
 		Dial:         dial(node),
 		Clock:        eardbd.NewFakeClock(0),
-		Jitter:       rand.New(rand.NewSource(g.cfg.Seed ^ int64(7919*i+1))),
+		Jitter:       lazyRand(g.cfg.Seed ^ int64(7919*i+1)),
 		BatchRecords: g.cfg.BatchRecords,
 		MaxAttempts:  g.cfg.MaxAttempts,
 		Journal:      journal,
@@ -385,7 +408,7 @@ func (g *Generator) Drain(dial func(node string) func() (net.Conn, error), maxPa
 				Node:         node,
 				Dial:         dial(node),
 				Clock:        eardbd.NewFakeClock(0),
-				Jitter:       rand.New(rand.NewSource(g.cfg.Seed ^ hashNode(node))),
+				Jitter:       lazyRand(g.cfg.Seed ^ hashNode(node)),
 				BatchRecords: g.cfg.BatchRecords,
 				MaxAttempts:  g.cfg.MaxAttempts,
 				Journal:      journal,

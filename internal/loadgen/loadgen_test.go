@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -272,5 +273,23 @@ func TestGeneratorValidation(t *testing.T) {
 	}
 	if _, err := g.Run(nil, Hooks{}); err == nil {
 		t.Error("Run accepted a nil dialer")
+	}
+}
+
+// TestLazyRandMatchesEagerSource pins that deferring the seeding keeps
+// every jitter stream, and so every backoff schedule, unchanged.
+func TestLazyRandMatchesEagerSource(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		lazy, eager := lazyRand(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 100; i++ {
+			if l, e := lazy.Float64(), eager.Float64(); l != e {
+				t.Fatalf("seed %d draw %d: lazy %v, eager %v", seed, i, l, e)
+			}
+		}
+		lazy.Seed(seed + 1)
+		eager.Seed(seed + 1)
+		if l, e := lazy.Uint64(), eager.Uint64(); l != e {
+			t.Fatalf("seed %d after reseed: lazy %v, eager %v", seed, l, e)
+		}
 	}
 }

@@ -2,22 +2,39 @@
 // reporting clients and the database daemon (package eardbd). EAR's
 // real deployment streams job signatures from every node daemon to
 // EARDBD over plain sockets; this codec reproduces that surface with a
-// length-prefixed, versioned binary header and JSON payloads, so the
-// transport stays inspectable while the framing stays strict.
+// length-prefixed, versioned binary header, a fixed-layout binary
+// payload for the ingest hot path (batches and acks) and JSON payloads
+// for the human-facing frames (errors, queries, results).
 //
 // Every frame is
 //
 //	magic   uint32  "EARW"
-//	version uint8   protocol version, currently 1
+//	version uint8   protocol version, currently 2
 //	type    uint8   frame type (batch, ack, error, query, result)
 //	flags   uint16  reserved, must be zero
 //	length  uint32  payload byte count
-//	payload [length]byte, JSON
+//	payload [length]byte
 //
 // all big-endian. Decoding is defensive: bad magic, unknown versions,
 // unknown types, oversized lengths and truncated payloads are errors,
 // never panics — the daemon must survive arbitrary bytes on its
 // listening socket.
+//
+// Batch and ack payloads write their fields in struct order: a string
+// as its uvarint byte length then the bytes, an int as a zigzag
+// varint, a float64 as 8 big-endian IEEE-754 bytes, a record slice as
+// a uvarint count then the elements —
+//
+//	batch  ID, Node, Records []eard.JobRecord, Acct []accounting.Record
+//	ack    BatchID, Accepted, Duplicate, Replaced
+//
+// Version 1 carried JSON there; version skew fails with ErrVersion
+// rather than a misparse. The payload decoder is canonical: trailing
+// bytes, truncated fields, non-minimal varints, out-of-range ints,
+// NaN or ±Inf floats, strings that are not valid UTF-8 and record
+// counts the remaining bytes cannot hold (refused before allocating)
+// all fail with ErrPayload, so every accepted payload re-encodes
+// byte-identically and carries only what JSON could.
 //
 // One flag bit is defined: FlagTrace marks that an 18-byte trace
 // context block sits between the header and the payload —
@@ -28,9 +45,8 @@
 //	span id     uint64  the sender's span, parent of the receiver's
 //
 // so a batch or query can be followed across processes as one span
-// tree. Frames without the flag are byte-identical to protocol
-// version 1 before tracing existed; peers that never set the flag
-// interoperate unchanged.
+// tree. Frames without the flag carry no block; peers that never set
+// the flag interoperate unchanged.
 package wire
 
 import (
@@ -39,6 +55,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"goear/internal/accounting"
 	"goear/internal/eard"
@@ -51,7 +68,7 @@ const Magic uint32 = 0x45415257
 // Version is the protocol version this package speaks. Decoding a
 // frame with any other version fails with ErrVersion: version skew is
 // surfaced to the peer instead of being misparsed.
-const Version uint8 = 1
+const Version uint8 = 2
 
 // headerLen is the fixed frame header size in bytes.
 const headerLen = 12
@@ -118,9 +135,14 @@ var (
 	ErrFlags    = errors.New("wire: reserved flags set")
 	ErrTooLarge = errors.New("wire: frame exceeds payload limit")
 	ErrTrace    = errors.New("wire: malformed trace context block")
+	// ErrPayload reports a batch or ack payload the binary decoder
+	// refuses: truncated or trailing bytes, a non-minimal varint, an
+	// integer out of range, a record count the remaining bytes cannot
+	// hold, a non-finite float or a string that is not valid UTF-8.
+	ErrPayload = errors.New("wire: malformed payload")
 )
 
-// Frame is one decoded frame: a type, its raw JSON payload, and the
+// Frame is one decoded frame: a type, its raw payload, and the
 // optional trace context it rode with (zero Context = untraced).
 type Frame struct {
 	Type    Type
@@ -128,9 +150,24 @@ type Frame struct {
 	Trace   trace.Context
 }
 
+// coalesceMax is the largest payload WriteFrame copies behind the
+// header to send the frame in one Write. Larger payloads (query
+// results) go out in a second Write rather than being copied.
+const coalesceMax = 16 << 10
+
+// scratch recycles the buffers frames are assembled and their headers
+// read in, so neither direction allocates per frame for them. Readers
+// and writers must not retain the slices they are given (io.Reader,
+// io.Writer), which makes the reuse safe.
+var scratch = sync.Pool{New: func() any {
+	b := make([]byte, 0, headerLen+traceBlockLen)
+	return &b
+}}
+
 // WriteFrame encodes f to w. Writing a frame larger than maxPayload is
 // refused so a misconfigured client fails locally rather than being
 // dropped by the server; maxPayload <= 0 means DefaultMaxPayload.
+// Frames with payloads up to coalesceMax go out in a single Write.
 func WriteFrame(w io.Writer, f Frame, maxPayload int) error {
 	if f.Type == 0 || f.Type >= typeEnd {
 		return fmt.Errorf("%w: %d", ErrType, uint8(f.Type))
@@ -145,29 +182,27 @@ func WriteFrame(w io.Writer, f Frame, maxPayload int) error {
 	if f.Trace.Valid() {
 		flags |= FlagTrace
 	}
-	var hdr [headerLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], Magic)
-	hdr[4] = Version
-	hdr[5] = uint8(f.Type)
-	binary.BigEndian.PutUint16(hdr[6:8], flags)
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(f.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write header: %w", err)
-	}
+	bp := scratch.Get().(*[]byte)
+	buf := binary.BigEndian.AppendUint32((*bp)[:0], Magic)
+	buf = append(buf, Version, uint8(f.Type))
+	buf = binary.BigEndian.AppendUint16(buf, flags)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload)))
 	if f.Trace.Valid() {
-		var blk [traceBlockLen]byte
-		blk[0] = traceBlockVersion
-		blk[1] = f.Trace.Flags
-		binary.BigEndian.PutUint64(blk[2:10], f.Trace.TraceID)
-		binary.BigEndian.PutUint64(blk[10:18], f.Trace.SpanID)
-		if _, err := w.Write(blk[:]); err != nil {
-			return fmt.Errorf("wire: write trace block: %w", err)
-		}
+		buf = append(buf, traceBlockVersion, f.Trace.Flags)
+		buf = binary.BigEndian.AppendUint64(buf, f.Trace.TraceID)
+		buf = binary.BigEndian.AppendUint64(buf, f.Trace.SpanID)
 	}
-	if len(f.Payload) > 0 {
-		if _, err := w.Write(f.Payload); err != nil {
-			return fmt.Errorf("wire: write payload: %w", err)
-		}
+	var err error
+	if len(f.Payload) <= coalesceMax {
+		buf = append(buf, f.Payload...)
+		_, err = w.Write(buf)
+	} else if _, err = w.Write(buf); err == nil {
+		_, err = w.Write(f.Payload)
+	}
+	*bp = buf[:0]
+	scratch.Put(bp)
+	if err != nil {
+		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }
@@ -180,8 +215,10 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	bp := scratch.Get().(*[]byte)
+	defer scratch.Put(bp)
+	hdr := (*bp)[:headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.EOF) && err != io.ErrUnexpectedEOF {
 			return Frame{}, io.EOF
 		}
@@ -207,8 +244,8 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 	}
 	var tc trace.Context
 	if flags&FlagTrace != 0 {
-		var blk [traceBlockLen]byte
-		if _, err := io.ReadFull(r, blk[:]); err != nil {
+		blk := (*bp)[:traceBlockLen]
+		if _, err := io.ReadFull(r, blk); err != nil {
 			if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF
 			}
@@ -246,9 +283,10 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 // batch resent after a lost ack carries the same ID and the server
 // drops the duplicate. Acct carries per-job energy-attribution
 // records alongside the node reports; riding the same batch gives
-// them the same dedup, spill and replay semantics for free. The acct
-// records are versioned independently (accounting.CodecVersion) so
-// the attribution layout can evolve without a wire version bump.
+// them the same dedup, spill and replay semantics for free. Every
+// acct record carries its own codec version (accounting.CodecVersion),
+// which the server's validation checks. The JSON tags serve the
+// client's spill journal; on the wire a batch is the binary payload.
 type Batch struct {
 	ID      string              `json:"id"`
 	Node    string              `json:"node"`
@@ -260,10 +298,10 @@ type Batch struct {
 // Duplicate identical re-deliveries, Replaced records that updated an
 // existing (job, step, node) entry with different content.
 type Ack struct {
-	BatchID   string `json:"batch_id"`
-	Accepted  int    `json:"accepted"`
-	Duplicate int    `json:"duplicate"`
-	Replaced  int    `json:"replaced"`
+	BatchID   string
+	Accepted  int
+	Duplicate int
+	Replaced  int
 }
 
 // ErrorFrame reports a failure to the peer.
@@ -342,11 +380,30 @@ func (r Result) Decode(v any) error {
 	return nil
 }
 
-// EncodeBatch builds a TypeBatch frame.
-func EncodeBatch(b Batch) (Frame, error) { return marshal(TypeBatch, b) }
+// EncodeBatch builds a TypeBatch frame with the binary payload. Its
+// input domain is JSON's: it refuses NaN and ±Inf, and carries a
+// string that is not valid UTF-8 with its invalid bytes replaced by
+// U+FFFD, so every payload it builds decodes.
+func EncodeBatch(b Batch) (Frame, error) {
+	e := encoder{sizing: true}
+	e.batch(&b)
+	if err := e.grow(TypeBatch); err != nil {
+		return Frame{}, err
+	}
+	e.batch(&b)
+	return Frame{Type: TypeBatch, Payload: e.buf}, nil
+}
 
-// EncodeAck builds a TypeAck frame.
-func EncodeAck(a Ack) (Frame, error) { return marshal(TypeAck, a) }
+// EncodeAck builds a TypeAck frame with the binary payload.
+func EncodeAck(a Ack) (Frame, error) {
+	e := encoder{sizing: true}
+	e.ack(&a)
+	if err := e.grow(TypeAck); err != nil {
+		return Frame{}, err
+	}
+	e.ack(&a)
+	return Frame{Type: TypeAck, Payload: e.buf}, nil
+}
 
 // EncodeError builds a TypeError frame.
 func EncodeError(msg string) (Frame, error) { return marshal(TypeError, ErrorFrame{Message: msg}) }
@@ -371,16 +428,36 @@ func marshal(t Type, v any) (Frame, error) {
 	return Frame{Type: t, Payload: p}, nil
 }
 
-// AsBatch decodes a TypeBatch frame.
+// AsBatch decodes a TypeBatch frame. Malformed payloads fail with an
+// error wrapping ErrPayload.
 func (f Frame) AsBatch() (Batch, error) {
+	if err := f.is(TypeBatch); err != nil {
+		return Batch{}, err
+	}
 	var b Batch
-	return b, f.unmarshal(TypeBatch, &b)
+	d := decoder{t: TypeBatch, p: f.Payload}
+	d.batch(&b)
+	if err := d.rewind(); err != nil {
+		return Batch{}, err
+	}
+	d.batch(&b)
+	return b, nil
 }
 
-// AsAck decodes a TypeAck frame.
+// AsAck decodes a TypeAck frame. Malformed payloads fail with an error
+// wrapping ErrPayload.
 func (f Frame) AsAck() (Ack, error) {
+	if err := f.is(TypeAck); err != nil {
+		return Ack{}, err
+	}
 	var a Ack
-	return a, f.unmarshal(TypeAck, &a)
+	d := decoder{t: TypeAck, p: f.Payload}
+	d.ack(&a)
+	if err := d.rewind(); err != nil {
+		return Ack{}, err
+	}
+	d.ack(&a)
+	return a, nil
 }
 
 // AsError decodes a TypeError frame.
@@ -401,9 +478,16 @@ func (f Frame) AsResult() (Result, error) {
 	return r, f.unmarshal(TypeResult, &r)
 }
 
-func (f Frame) unmarshal(want Type, v any) error {
+func (f Frame) is(want Type) error {
 	if f.Type != want {
 		return fmt.Errorf("wire: frame is %s, not %s", f.Type, want)
+	}
+	return nil
+}
+
+func (f Frame) unmarshal(want Type, v any) error {
+	if err := f.is(want); err != nil {
+		return err
 	}
 	if err := json.Unmarshal(f.Payload, v); err != nil {
 		return fmt.Errorf("wire: decode %s payload: %w", want, err)
